@@ -87,17 +87,6 @@ val run_case : ?trace:Sim.Trace.t -> case -> (stats, string list) result
     to keeping the newest events instead of exhausting memory.  Tracing
     never changes the simulated run: same seed, same outcome. *)
 
-val run_events :
-  ?trace:Sim.Trace.t ->
-  case ->
-  Workload.Events.t list ->
-  (stats, string list) result
-(** [run_case] with the case's workload replaced by [events] — the probe
-    the shrinker applies to sub-workloads. *)
-
-val max_shrink_runs : int
-(** Budget of probe simulations one shrink may spend (200). *)
-
 val shrink : case -> Workload.Events.t list * int
 (** Greedy one-event removal to a fixed point, then a timing pass that
     pulls each surviving event back to its predecessor's time (the first
@@ -105,7 +94,7 @@ val shrink : case -> Workload.Events.t list * int
     still fails (assuming the case itself fails) from which no single
     event can be removed — and in which no single gap remains — without
     the failure disappearing, plus the number of probe runs spent (both
-    passes share the {!max_shrink_runs} cap).  Deterministic. *)
+    passes share a cap of 200 probe runs).  Deterministic. *)
 
 val run :
   ?n_max:int ->

@@ -197,7 +197,6 @@ let create ~graph ~config () =
     switches;
   t
 
-let n_switches t = t.n
 let switches t = t.switches
 
 let pending_count t =
@@ -595,7 +594,6 @@ type adjacency_view = {
          watcher was alive. *)
 }
 
-let health_enabled t = t.health <> None
 
 let health_adjacencies t =
   match t.health with

@@ -42,8 +42,6 @@ type violation = {
 
 val to_string : violation -> string
 
-val pp : Format.formatter -> violation -> unit
-
 val check_switch : ?boundary:bool -> id:int -> Dgmc.Switch.t -> violation list
 (** All per-state laws over every MC snapshot of one switch.
 

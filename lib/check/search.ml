@@ -1,6 +1,6 @@
 (* Guided forward/backward fault-scenario search (ROADMAP: Helmy–Estrin
-   style systematic testing).  Forward mode is a best-first walk of the
-   same deduped state graph Explore covers exhaustively; backward mode
+   style systematic testing).  Forward mode is Explore's frontier loop
+   with a best-first pop order and a target filter; backward mode
    enumerates fault sequences shortest-first and forward-checks each, so
    the first hit is a minimal repro. *)
 
@@ -32,11 +32,6 @@ let target_of_string s =
             receiver-only or asymmetric)"
            kind_s))
 
-let target_to_string t =
-  match t.kind with
-  | None -> t.law
-  | Some k -> t.law ^ "@" ^ Dgmc.Mc_id.kind_to_string k
-
 let kind_equal a b =
   match ((a : Dgmc.Mc_id.kind), (b : Dgmc.Mc_id.kind)) with
   | Symmetric, Symmetric | Receiver_only, Receiver_only
@@ -59,70 +54,14 @@ let matches target (v : Invariant.violation) =
   | Some k, Some mc -> kind_equal k mc.Dgmc.Mc_id.kind
 
 (* ------------------------------------------------------------------ *)
-(* Violation-distance heuristic *)
-
-type score = {
-  bound : int;
-      (* Harness.pending_count: provable lower bound on actions left to
-         any terminal state. *)
-  discord : int;
-      (* Divergent installed-state fingerprint classes, summed over
-         MCs: for each MC, the number of distinct (members, topology)
-         snapshots across its holders minus one.  0 = full agreement. *)
-  resync_depth : int;  (* Outstanding resynchronisation peers, summed. *)
-  deferred : int;  (* Deferred mid-resync LSAs, summed. *)
-}
-
-let score h =
-  let bound = Harness.pending_count h in
-  let pairs = ref [] in
-  let resync_depth = ref 0 in
-  let deferred = ref 0 in
-  Array.iter
-    (fun sw ->
-      List.iter
-        (fun (s : Dgmc.Switch.mc_snapshot) ->
-          pairs :=
-            ( Fingerprint.mc_id s.snap_mc,
-              Fingerprint.members s.snap_members
-              ^ "/"
-              ^ Fingerprint.tree s.snap_topology )
-            :: !pairs)
-        (Dgmc.Switch.snapshots sw);
-      (match Dgmc.Switch.resync_state sw with
-      | Some (_, outstanding, _, _) ->
-        resync_depth := !resync_depth + List.length outstanding
-      | None -> ());
-      deferred := !deferred + List.length (Dgmc.Switch.deferred_lsas sw))
-    (Harness.switches h);
-  let sorted =
-    List.sort_uniq
-      (fun (m1, f1) (m2, f2) ->
-        let c = String.compare m1 m2 in
-        if c <> 0 then c else String.compare f1 f2)
-      !pairs
-  in
-  (* Distinct (mc, fingerprint) pairs minus distinct mcs = sum over MCs
-     of (classes - 1). *)
-  let mcs =
-    List.sort_uniq String.compare (List.map (fun (m, _) -> m) sorted)
-  in
-  {
-    bound;
-    discord = List.length sorted - List.length mcs;
-    resync_depth = !resync_depth;
-    deferred = !deferred;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Forward search *)
 
-type found = {
-  laws : string list;  (* Matching law names, deduplicated. *)
-  message : string;  (* Matching violations, rendered. *)
+type found = Explore.violation = {
+  laws : string list;
+  message : string;
   trace : string list;
   depth : int;
-  state_digest : string;  (* Harness digest of the violating state. *)
+  state_digest : string;
 }
 
 type forward_outcome = {
@@ -130,23 +69,26 @@ type forward_outcome = {
   f_transitions : int;
   f_terminals : int;
   f_other_violations : int;
-      (* Violating states whose laws did not match the target; recorded
-         but neither reported as hits nor expanded. *)
   f_complete : bool;
   f_found : found option;
 }
 
 (* Frontier keys: pop order is the violation-distance heuristic.
-   [bound] ascending is the admissible primary key (closest to a
+   [k_bound] ascending is the admissible primary key (closest to a
    checkable terminal first); the divergence evidence — discord, resync
    depth, deferred queue — breaks ties descending (most evidence
    first); depth then digest make the order total and deterministic. *)
 module Key = struct
   type t = {
     k_bound : int;
+        (* Harness.pending_count: provable lower bound on actions left
+           to any terminal state. *)
     k_discord : int;
-    k_resync : int;
-    k_deferred : int;
+        (* Divergent installed-state fingerprint classes, summed over
+           MCs: for each MC, the number of distinct (members, topology)
+           snapshots across its holders minus one.  0 = full agreement. *)
+    k_resync : int;  (* Outstanding resynchronisation peers, summed. *)
+    k_deferred : int;  (* Deferred mid-resync LSAs, summed. *)
     k_depth : int;
     k_digest : string;
   }
@@ -166,195 +108,70 @@ module Key = struct
           else
             let c = Int.compare a.k_depth b.k_depth in
             if c <> 0 then c else String.compare a.k_digest b.k_digest
+
+  let of_state h ~depth ~digest =
+    let pairs = ref [] in
+    let resync = ref 0 in
+    let deferred = ref 0 in
+    Array.iter
+      (fun sw ->
+        List.iter
+          (fun (s : Dgmc.Switch.mc_snapshot) ->
+            pairs :=
+              ( Fingerprint.mc_id s.snap_mc,
+                Fingerprint.members s.snap_members
+                ^ "/"
+                ^ Fingerprint.tree s.snap_topology )
+              :: !pairs)
+          (Dgmc.Switch.snapshots sw);
+        (match Dgmc.Switch.resync_state sw with
+        | Some (_, outstanding, _, _) ->
+          resync := !resync + List.length outstanding
+        | None -> ());
+        deferred := !deferred + List.length (Dgmc.Switch.deferred_lsas sw))
+      (Harness.switches h);
+    let sorted =
+      List.sort_uniq
+        (fun (m1, f1) (m2, f2) ->
+          let c = String.compare m1 m2 in
+          if c <> 0 then c else String.compare f1 f2)
+        !pairs
+    in
+    (* Distinct (mc, fingerprint) pairs minus distinct mcs = sum over
+       MCs of (classes - 1). *)
+    let mcs =
+      List.sort_uniq String.compare (List.map (fun (m, _) -> m) sorted)
+    in
+    {
+      k_bound = Harness.pending_count h;
+      k_discord = List.length sorted - List.length mcs;
+      k_resync = !resync;
+      k_deferred = !deferred;
+      k_depth = depth;
+      k_digest = digest;
+    }
 end
 
-module Frontier = Map.Make (Key)
-
-let key_of ~score:s ~depth ~digest =
-  {
-    Key.k_bound = s.bound;
-    k_discord = s.discord;
-    k_resync = s.resync_depth;
-    k_deferred = s.deferred;
-    k_depth = depth;
-    k_digest = digest;
-  }
-
-(* One explored edge, computed inside a (possibly parallel) expansion
-   task.  Everything the sequential merge needs to dedup, report or
-   push is precomputed here; actions survive the replay because the
-   harness is deterministic for a fixed prefix. *)
-type edge = {
-  e_prefix : Harness.action list;  (* parent prefix @ [act] *)
-  e_trace : string list;  (* rendered actions, initial state to child *)
-  e_digest : string;
-  e_score : score;
-  e_enabled : Harness.action list;  (* child's enabled actions *)
-  e_matching : Invariant.violation list;
-  e_all_violations : int;
-  e_terminal_marker : bool;  (* violations found at a terminal state *)
-}
-
-let check_edges target scenario (prefix, acts) =
-  List.map
-    (fun act ->
-      let h, descs = Explore.build scenario prefix in
-      let before = Array.map Invariant.installed_stamps (Harness.switches h) in
-      let desc = Harness.describe h act in
-      Harness.apply h act;
-      let trace = descs @ [ desc ] in
-      let viols =
-        Explore.check_state h
-        @ (Array.to_list
-             (Array.mapi
-                (fun i sw ->
-                  Invariant.check_monotone ~id:i ~before:before.(i) sw)
-                (Harness.switches h))
-          |> List.concat)
-      in
-      let enabled = Harness.enabled h in
-      let terminal_viols =
-        if enabled = [] && viols = [] then
-          Invariant.check_terminal ~graph:(Harness.graph h)
-            ~truth:(Harness.truth h) (Harness.switches h)
-          @ Invariant.check_health_terminal
-              ~suppressed:(Harness.suppressed_links h) (Harness.switches h)
-        else []
-      in
-      let all = viols @ terminal_viols in
-      {
-        e_prefix = prefix @ [ act ];
-        e_trace = trace;
-        e_digest = Harness.digest h;
-        e_score = score h;
-        e_enabled = enabled;
-        e_matching = List.filter (matches target) all;
-        e_all_violations = List.length all;
-        e_terminal_marker = terminal_viols <> [];
-      })
-    acts
-
-let render_found ~depth ~digest ~trace ~terminal viols =
-  let trace = if terminal then trace @ [ "(terminal state)" ] else trace in
-  {
-    laws =
-      List.sort_uniq String.compare
-        (List.map (fun (v : Invariant.violation) -> v.law) viols);
-    message = String.concat "\n" (List.map Invariant.to_string viols);
-    trace;
-    depth;
-    state_digest = digest;
-  }
-
 (* The wave width is a fixed property of the algorithm, NOT of the
-   domain count: every run — sequential or parallel — pops the same
-   wave_size best frontier entries, expands them as independent pure
-   tasks, and merges the results in wave order.  That is what makes the
+   domain count: every run — sequential or parallel — pops the same 8
+   best frontier entries, expands them as independent pure tasks, and
+   merges the results in wave order.  That is what makes the
    outcome byte-identical at any --domains. *)
-let wave_size = 8
+let guided = { Explore.wave = 8; rank = Key.of_state; compare = Key.compare }
 
 let forward ?(target = any) ?(max_states = 50_000) ?(max_depth = 10_000)
-    ?domains (scenario : Explore.scenario) =
-  let seen = Hashtbl.create 4096 in
-  let states = ref 0 in
-  let transitions = ref 0 in
-  let terminals = ref 0 in
-  let others = ref 0 in
-  let truncated = ref false in
-  let found = ref None in
-  let frontier = ref Frontier.empty in
-  let admit ~digest ~score:s ~depth ~prefix ~enabled =
-    if not (Hashtbl.mem seen digest) then begin
-      Hashtbl.add seen digest ();
-      incr states;
-      if !states > max_states then truncated := true
-      else if enabled = [] then incr terminals
-      else if depth >= max_depth then truncated := true
-      else
-        frontier :=
-          Frontier.add (key_of ~score:s ~depth ~digest) (prefix, enabled)
-            !frontier
-    end
+    ?domains scenario =
+  let o =
+    Explore.search ?domains ~order:guided ~select:(matches target) ~max_states
+      ~max_depth scenario
   in
-  (* Initial state: per-state laws first (mirroring Explore), then the
-     terminal laws if the race produced nothing to deliver. *)
-  let h0, _ = Explore.build scenario [] in
-  let enabled0 = Harness.enabled h0 in
-  let viols0 =
-    Explore.check_state h0
-    @
-    if enabled0 = [] then
-      Invariant.check_terminal ~graph:(Harness.graph h0)
-        ~truth:(Harness.truth h0) (Harness.switches h0)
-      @ Invariant.check_health_terminal
-          ~suppressed:(Harness.suppressed_links h0) (Harness.switches h0)
-    else []
-  in
-  let digest0 = Harness.digest h0 in
-  (match List.filter (matches target) viols0 with
-  | [] ->
-    if viols0 <> [] then incr others
-    else admit ~digest:digest0 ~score:(score h0) ~depth:0 ~prefix:[]
-        ~enabled:enabled0
-  | matching ->
-    found :=
-      Some
-        (render_found ~depth:0 ~digest:digest0
-           ~trace:[ "(initial state, before any race delivery)" ]
-           ~terminal:(enabled0 = []) matching));
-  let rec loop () =
-    if !found = None && not (Frontier.is_empty !frontier) then begin
-      (* Pop the best wave_size entries... *)
-      let wave = ref [] in
-      for _ = 1 to wave_size do
-        match Frontier.min_binding_opt !frontier with
-        | None -> ()
-        | Some (k, entry) ->
-          frontier := Frontier.remove k !frontier;
-          wave := entry :: !wave
-      done;
-      let wave = List.rev !wave in
-      (* ... expand them as pure tasks (deterministic replay), ... *)
-      let results =
-        Runner.Pool.map ?domains (check_edges target scenario) wave
-      in
-      (* ... and merge sequentially in wave order: the first matching
-         violation in (wave, enabled) order wins regardless of which
-         domain computed it. *)
-      List.iter
-        (fun edges ->
-          List.iter
-            (fun e ->
-              if !found = None then begin
-                incr transitions;
-                match e.e_matching with
-                | _ :: _ ->
-                  found :=
-                    Some
-                      (render_found
-                         ~depth:(List.length e.e_prefix)
-                         ~digest:e.e_digest ~trace:e.e_trace
-                         ~terminal:e.e_terminal_marker e.e_matching)
-                | [] ->
-                  if e.e_all_violations > 0 then incr others
-                  else
-                    admit ~digest:e.e_digest ~score:e.e_score
-                      ~depth:(List.length e.e_prefix) ~prefix:e.e_prefix
-                      ~enabled:e.e_enabled
-              end)
-            edges)
-        results;
-      loop ()
-    end
-  in
-  loop ();
   {
-    f_states = !states;
-    f_transitions = !transitions;
-    f_terminals = !terminals;
-    f_other_violations = !others;
-    f_complete = !found = None && (not !truncated) && !others = 0;
-    f_found = !found;
+    f_states = o.states;
+    f_transitions = o.transitions;
+    f_terminals = o.terminals;
+    f_other_violations = o.off_target;
+    f_complete = o.complete;
+    f_found = o.violation;
   }
 
 (* ------------------------------------------------------------------ *)

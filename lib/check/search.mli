@@ -16,9 +16,10 @@
     agreement laws are checked — and ties break toward states with more
     divergence evidence (disagreeing per-MC installed-state fingerprint
     classes, outstanding resynchronisation peers, deferred mid-resync
-    LSAs).  States are deduplicated by canonical {!Harness.digest}
-    exactly as in {!Explore}, so with no bound hit an empty-handed
-    forward search is as conclusive as an exhaustive one.
+    LSAs).  It runs {!Explore.search}, the checker's own frontier loop
+    and transition check, with this order and a target filter, so with
+    no bound hit an empty-handed forward search is as conclusive as an
+    exhaustive one and counts the same states.
 
     {b Backward} ({!backward}): from a target invariant (a known
     violation's law, optionally narrowed to an MC kind), search for a
@@ -50,40 +51,13 @@ type target = {
           match. *)
 }
 
-val any : target
-(** Every violation matches. *)
-
 val target_of_string : string -> (target, string) result
 (** Parse ["law"] or ["law\@kind"] with kind one of [symmetric],
     [receiver-only], [asymmetric]. *)
 
-val target_to_string : target -> string
-
-val matches : target -> Invariant.violation -> bool
-
-(** {1 The violation-distance heuristic} *)
-
-type score = {
-  bound : int;
-      (** {!Harness.pending_count}: admissible-consistent lower bound on
-          the actions left to any terminal state (each action retires
-          exactly one pending item). *)
-  discord : int;
-      (** Per MC, the number of distinct (member list, installed
-          topology) fingerprint classes across the switches holding
-          state, minus one — summed.  0 means installed-state
-          agreement. *)
-  resync_depth : int;
-      (** Outstanding crash-recovery resynchronisation peers, summed
-          over switches. *)
-  deferred : int;  (** LSAs deferred by in-flight resyncs, summed. *)
-}
-
-val score : Harness.t -> score
-
 (** {1 Forward search} *)
 
-type found = {
+type found = Explore.violation = {
   laws : string list;  (** Matching violated laws, sorted, deduped. *)
   message : string;  (** The matching violations, rendered. *)
   trace : string list;  (** Action sequence from the post-race state. *)
@@ -96,9 +70,10 @@ type forward_outcome = {
   f_transitions : int;
   f_terminals : int;
   f_other_violations : int;
-      (** Violating states whose laws missed the target: counted,
-          reported in {!pp_forward}, but neither returned as the hit nor
-          expanded further. *)
+      (** Violating edges and terminal states whose laws missed the
+          target ({!Explore.outcome.off_target}): counted, reported in
+          {!pp_forward}, but neither returned as the hit nor expanded
+          further. *)
   f_complete : bool;
       (** No violation, no bound hit, no off-target violation: the whole
           deduped reachable space was covered. *)
@@ -112,11 +87,12 @@ val forward :
   ?domains:int ->
   Explore.scenario ->
   forward_outcome
-(** Best-first search of the scenario's post-race state space.
-    Defaults: [target = any], [max_states = 50_000],
-    [max_depth = 10_000], [domains = 1].  The frontier is expanded in
-    fixed-width waves (8 entries) regardless of [domains], so the
-    outcome is byte-identical at any domain count. *)
+(** Best-first {!Explore.search} of the scenario's post-race state
+    space for a violation matching [target].  Defaults: [target] matches
+    every law, [max_states = 50_000], [max_depth = 10_000],
+    [domains = 1].  The frontier is expanded in fixed-width waves (8
+    entries) regardless of [domains], so the outcome is byte-identical
+    at any domain count. *)
 
 (** {1 Backward search} *)
 
@@ -155,13 +131,12 @@ val backward :
 
 (** {1 Event rendering and parsing} *)
 
-val event_line : int -> Harness.event -> string
-(** ["[<tick>] join switch=0 mc#1(symmetric) (both)"] — {!Check.Fuzz}'s
-    shrunk-workload line format with the sequence index as the tick
-    (the harness is untimed: interleaving order {e is} the timing);
-    [crash switch=i] / [recover switch=i] extend the vocabulary. *)
-
 val event_lines : Harness.event list -> string list
+(** One line per event, ["[<tick>] join switch=0 mc#1(symmetric) (both)"]
+    — {!Check.Fuzz}'s shrunk-workload line format with the sequence
+    index as the tick (the harness is untimed: interleaving order {e is}
+    the timing); [crash switch=i] / [recover switch=i] extend the
+    vocabulary. *)
 
 val events_of_string :
   mcs:Dgmc.Mc_id.t list -> string -> (Harness.event list, string) result
@@ -170,8 +145,6 @@ val events_of_string :
     default their role by MC kind (asymmetric defaults to [sender]). *)
 
 (** {1 Reporting} *)
-
-val pp_found : Format.formatter -> found -> unit
 
 val pp_forward : Format.formatter -> forward_outcome -> unit
 

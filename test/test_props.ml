@@ -671,7 +671,9 @@ let prop_search_heuristic_admissible_consistent =
 let prop_search_finds_iff_explore_finds =
   (* Digest-dedup soundness: the guided search reports a violation
      exactly when the exhaustive checker does — deduplication never
-     drops the (only) path into a reachable violating state. *)
+     drops the (only) path into a reachable violating state.  When both
+     cover the space without a violation, pop order must not matter
+     either: they count the same states, transitions and terminals. *)
   QCheck2.Test.make
     ~name:"search: forward agrees with exhaustive exploration" ~count:6
     ~print:(fun (c, broken) ->
@@ -691,7 +693,11 @@ let prop_search_finds_iff_explore_finds =
        | None -> false)
       = (match exhaustive.Check.Explore.violation with
          | Some _ -> true
-         | None -> false))
+         | None -> false)
+      && ((not (guided.f_complete && exhaustive.complete))
+         || guided.f_states = exhaustive.states
+            && guided.f_transitions = exhaustive.transitions
+            && guided.f_terminals = exhaustive.terminals))
 
 let prop_search_domains_identical =
   QCheck2.Test.make
