@@ -395,26 +395,15 @@ let script_cmd =
             |> List.concat_map (String.split_on_char ' ')
             |> List.filter (fun t -> t <> "")
           in
-          match Workload.Script.health_of_args ~line:0 args with
+          match
+            Result.bind
+              (Workload.Script.health_of_args ~line:0 args)
+              (Workload.Script.with_health script)
+          with
+          | Ok script -> script
           | Error msg ->
             Printf.eprintf "--health: %s\n" msg;
-            exit 2
-          | Ok d ->
-            let hc =
-              Workload.Script.health_config
-                ~graph:script.Workload.Script.graph
-                ~config:script.Workload.Script.config
-                ~last_event:
-                  (Workload.Script.last_event_time
-                     script.Workload.Script.events)
-                d
-            in
-            (match Health.Config.validate hc with
-            | Ok () -> ()
-            | Error msg ->
-              Printf.eprintf "--health: %s\n" msg;
-              exit 2);
-            { script with Workload.Script.health = Some hc })
+            exit 2)
       in
       let trace = make_trace trace_file trace_cats in
       let net = Workload.Script.build ~trace script in

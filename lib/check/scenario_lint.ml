@@ -1,393 +1,124 @@
-type severity = Error | Warning
+module S = Workload.Script
 
-type diagnostic = { line : int; severity : severity; message : string }
+type severity = S.severity = Error | Warning
 
-(* Fully-resolved events for the semantic (timeline-replay) pass. *)
-type act =
-  | Join of { switch : int; mc : int }
-  | Leave of { switch : int; mc : int }
-  | Link of { u : int; v : int; up : bool }
+type diagnostic = S.diagnostic = {
+  line : int;
+  severity : severity;
+  message : string;
+}
 
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
-let opt_value opts key =
-  List.find_map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i when String.sub tok 0 i = key ->
-        Some (String.sub tok (i + 1) (String.length tok - i - 1))
-      | _ -> None)
-    opts
+(* Two events collide when they do the same thing: a join's role and an
+   MC's type are not part of its identity. *)
+let same_action (a : Workload.Events.action) (b : Workload.Events.action) =
+  match (a, b) with
+  | Join x, Join y -> x.switch = y.switch && x.mc.id = y.mc.id
+  | Leave x, Leave y -> x.switch = y.switch && x.mc.id = y.mc.id
+  | _ -> a = b
 
 let lint text =
-  let diags = ref [] in
+  let a = S.analyse text in
+  let found = ref [] in
   let emit severity line fmt =
     Printf.ksprintf
-      (fun message -> diags := { line; severity; message } :: !diags)
+      (fun message -> found := { line; severity; message } :: !found)
       fmt
   in
   let err line fmt = emit Error line fmt in
   let warn line fmt = emit Warning line fmt in
-  let graph = ref None in
-  let graph_declared = ref false in
-  let faults_declared = ref false in
-  let config = ref Dgmc.Config.atm_lan in
-  let mcs = ref [] in (* (decl line, id, kind) — in declaration order *)
-  let used = ref [] in (* mc ids referenced by some event *)
-  let events = ref [] in (* (line, time, rounds?, act) — file order *)
-  let churns = ref [] in (* (line, churn_directive) — file order *)
-  let health_decl = ref None in (* (line, health_directive) *)
-  let parse_int line what s =
-    match int_of_string_opt s with
-    | Some v -> Some v
-    | None ->
-      err line "%s: expected an integer, got %S" what s;
-      None
-  in
-  (* Mirrors Workload.Script.check_opts, but reports every offender. *)
-  let check_opts line ~allowed opts =
-    List.iter
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | None -> err line "unexpected token %S (options are key=value)" tok
-        | Some i ->
-          let key = String.sub tok 0 i in
-          if not (List.mem key allowed) then
-            err line "unknown option %S (allowed: %s)" key
-              (String.concat ", " allowed))
-      opts
-  in
-  let find_mc line opts =
-    match opt_value opts "mc" with
-    | None ->
-      err line "event needs mc=<id>";
-      None
-    | Some id_s -> (
-      match parse_int line "mc id" id_s with
-      | None -> None
-      | Some id ->
-        if not (List.exists (fun (_, i, _) -> i = id) !mcs) then begin
-          err line "mc %d not declared (use a 'mc %d <type>' line first)" id
-            id;
-          None
-        end
-        else begin
-          used := id :: !used;
-          Some id
-        end)
-  in
-  (* The declared MCs as Mc_id values (only those with a valid kind) —
-     what the shared churn parser resolves mc= against. *)
-  let declared_mc_ids () =
-    List.filter_map
-      (fun (_, id, kind) ->
-        match kind with
-        | "symmetric" -> Some (Dgmc.Mc_id.make Symmetric id)
-        | "receiver-only" -> Some (Dgmc.Mc_id.make Receiver_only id)
-        | "asymmetric" -> Some (Dgmc.Mc_id.make Asymmetric id)
-        | _ -> None)
-      !mcs
-  in
-  (* ---- pass 1: line-by-line structure ---- *)
-  List.iteri
-    (fun i raw ->
-      let line = i + 1 in
-      let body =
-        match String.index_opt raw '#' with
-        | Some j -> String.sub raw 0 j
-        | None -> raw
-      in
-      match tokens body with
-      | [] -> ()
-      | "graph" :: args ->
-        if !graph_declared then
-          warn line "duplicate 'graph' directive overrides the previous one";
-        graph_declared := true;
-        (match Workload.Script.graph_of_args ~line args with
-        | Ok g -> graph := Some g
-        | Error m ->
-          err line "%s" m;
-          (* the semantic pass is skipped: no graph to check against *)
-          graph := None)
-      | "config" :: args -> (
-        match args with
-        | [ "atm" ] -> config := Dgmc.Config.atm_lan
-        | [ "wan" ] -> config := Dgmc.Config.wan
-        | _ ->
-          err line "config: expected 'atm' or 'wan', got %S"
-            (String.concat " " args))
-      | "faults" :: args -> (
-        if !faults_declared then
-          warn line "duplicate 'faults' directive overrides the previous one";
-        faults_declared := true;
-        match Workload.Script.faults_of_args ~line args with
-        | Ok (spec, _) ->
-          if Faults.Plan.spec_is_transparent spec then
-            warn line
-              "fault plan injects nothing (all probabilities and delays \
-               are zero)"
-        | Error m -> err line "%s" m)
-      | [ "mc"; id; kind ] ->
-        (match parse_int line "mc id" id with
-        | None -> ()
-        | Some id ->
-          if List.exists (fun (_, i, _) -> i = id) !mcs then
-            err line "mc %d declared twice" id
-          else mcs := !mcs @ [ (line, id, kind) ]);
-        if not (List.mem kind [ "symmetric"; "receiver-only"; "asymmetric" ])
-        then err line "unknown MC type %S" kind
-      | "mc" :: _ -> err line "mc: expected 'mc <id> <type>'"
-      | "at" :: time :: action ->
-        let time =
-          let rounds =
-            String.length time > 1 && time.[String.length time - 1] = 'r'
-          in
-          let body =
-            if rounds then String.sub time 0 (String.length time - 1)
-            else time
-          in
-          match float_of_string_opt body with
-          | Some v when v >= 0.0 -> Some (v, rounds)
-          | Some _ ->
-            err line "time must be non-negative";
-            None
-          | None ->
-            err line "bad time literal %S" time;
-            None
-        in
-        let act =
-          match action with
-          | "join" :: sw :: opts ->
-            check_opts line ~allowed:[ "mc"; "role" ] opts;
-            (match opt_value opts "role" with
-            | Some r when not (List.mem r [ "sender"; "receiver"; "both" ])
-              ->
-              err line "unknown role %S" r
-            | _ -> ());
-            let sw = parse_int line "switch" sw in
-            let mc = find_mc line opts in
-            (match (sw, mc) with
-            | Some switch, Some mc -> Some (Join { switch; mc })
-            | _ -> None)
-          | "leave" :: sw :: opts -> (
-            check_opts line ~allowed:[ "mc" ] opts;
-            let sw = parse_int line "switch" sw in
-            let mc = find_mc line opts in
-            match (sw, mc) with
-            | Some switch, Some mc -> Some (Leave { switch; mc })
-            | _ -> None)
-          | [ ("linkdown" | "linkup") ] | [ ("linkdown" | "linkup"); _ ] ->
-            err line "%s: expected two switch ids" (List.hd action);
-            None
-          | [ ("linkdown" | "linkup") as verb; u; v ] -> (
-            match (parse_int line "u" u, parse_int line "v" v) with
-            | Some u, Some v ->
-              Some (Link { u; v; up = verb = "linkup" })
-            | _ -> None)
-          | verb :: _ ->
-            err line "unknown event %S" verb;
-            None
-          | [] ->
-            err line "at: missing event";
-            None
-        in
-        (match (time, act) with
-        | Some (v, rounds), Some act ->
-          events := !events @ [ (line, v, rounds, act) ]
-        | _ -> ())
-      | [ "at" ] -> err line "at: missing time and event"
-      | "health" :: opts -> (
-        if !health_decl <> None then
-          warn line "duplicate 'health' directive overrides the previous one";
-        check_opts line ~allowed:Workload.Script.health_allowed_keys opts;
-        let known =
-          List.filter
-            (fun tok ->
-              match String.index_opt tok '=' with
-              | Some i ->
-                List.mem (String.sub tok 0 i)
-                  Workload.Script.health_allowed_keys
-              | None -> false)
-            opts
-        in
-        match Workload.Script.health_of_args ~line known with
-        | Ok d -> health_decl := Some (line, d)
-        | Error m -> err line "%s" m)
-      | "churn" :: opts -> (
-        (* Report every bad key here, then hand only the known ones to
-           the shared parser (which stops at the first problem). *)
-        check_opts line ~allowed:Workload.Script.churn_allowed_keys opts;
-        let known =
-          List.filter
-            (fun tok ->
-              match String.index_opt tok '=' with
-              | Some i ->
-                List.mem (String.sub tok 0 i)
-                  Workload.Script.churn_allowed_keys
-              | None -> false)
-            opts
-        in
-        match
-          Workload.Script.churn_of_args ~line ~mcs:(declared_mc_ids ()) known
-        with
-        | Ok d ->
-          used := d.Workload.Script.churn_mc.id :: !used;
-          churns := !churns @ [ (line, d) ]
-        | Error m -> err line "%s" m)
-      | verb :: _ -> err line "unknown directive %S" verb)
-    (String.split_on_char '\n' text);
-  (* ---- pass 2: semantics over the resolved timeline ---- *)
-  (match !graph with
-  | None -> if not !graph_declared then err 0 "missing 'graph' directive"
-  | Some g ->
-    let n = Net.Graph.n_nodes g in
-    let round = Dgmc.Config.round_length !config ~graph:g in
-    let resolved =
-      List.filter_map
-        (fun (line, v, rounds, act) ->
-          let time = if rounds then v *. round else v in
-          let ok =
-            match act with
-            | Join { switch; _ } | Leave { switch; _ } ->
-              if switch < 0 || switch >= n then begin
-                err line "switch %d out of range (graph has %d switches)"
-                  switch n;
-                false
-              end
-              else true
-            | Link { u; v; _ } ->
-              if not (Net.Graph.has_edge g u v) then begin
-                err line "no link (%d, %d) in the graph" u v;
-                false
-              end
-              else true
-          in
-          if ok then Some (line, time, act) else None)
-        !events
+  (match a.timeline with
+  | None -> ()
+  | Some timeline ->
+    (* Scripted events in file order: one per line. *)
+    let scripted =
+      List.filter (fun (s : S.sourced) -> not s.churned) timeline
+      |> List.stable_sort (fun (x : S.sourced) y ->
+             Int.compare x.from_line y.from_line)
     in
     (* Monotone file order: later lines should not move back in time. *)
     ignore
       (List.fold_left
-         (fun prev (line, time, _) ->
+         (fun prev (s : S.sourced) ->
            (match prev with
-           | Some (pline, ptime) when time < ptime ->
-             warn line
+           | Some (p : S.sourced) when s.event.time < p.event.time ->
+             warn s.from_line
                "event time moves backwards (earlier than line %d); events \
                 still run in time order"
-               pline
+               p.from_line
            | _ -> ());
-           Some (line, time))
-         None resolved);
+           Some s)
+         None scripted);
     (* Exact duplicates. *)
     let rec dup_scan = function
-      | [] -> []
-      | (line, time, act) :: rest ->
+      | [] -> ()
+      | (s : S.sourced) :: rest ->
         (match
-           List.find_opt (fun (_, t, a) -> t = time && a = act) rest
+           List.find_opt
+             (fun (r : S.sourced) ->
+               r.event.time = s.event.time
+               && same_action r.event.action s.event.action)
+             rest
          with
-        | Some (line', _, _) ->
-          err line' "duplicate event (same time and action as line %d)" line
+        | Some r ->
+          err r.from_line "duplicate event (same time and action as line %d)"
+            s.from_line
         | None -> ());
         dup_scan rest
     in
-    ignore (dup_scan resolved);
-    (* Churn directives expand deterministically; an expansion the graph
-       cannot host is an error, and the expanded events join the replay
-       below so scripted events are checked against churn-held state. *)
-    let churn_resolved =
-      List.concat_map
-        (fun (line, d) ->
-          match
-            Workload.Churn.generate
-              (Sim.Rng.create d.Workload.Script.churn_seed)
-              ~graph:g
-              (Workload.Script.churn_spec ~graph:g ~config:!config d)
-          with
-          | evs ->
-            List.map
-              (fun (e : Workload.Events.t) ->
-                let act =
-                  match e.action with
-                  | Workload.Events.Join { switch; mc; _ } ->
-                    Join { switch; mc = mc.id }
-                  | Workload.Events.Leave { switch; mc } ->
-                    Leave { switch; mc = mc.id }
-                  | Workload.Events.Link_down (u, v) ->
-                    Link { u; v; up = false }
-                  | Workload.Events.Link_up (u, v) -> Link { u; v; up = true }
-                in
-                (line, e.time, act))
-              evs
-          | exception Invalid_argument m ->
-            err line "%s" m;
-            [])
-        !churns
-    in
-    (* Replay membership and link state in event-time order (stable on
-       ties, matching Workload.Events.sort). *)
-    let timeline =
-      List.stable_sort
-        (fun (_, t1, _) (_, t2, _) -> Float.compare t1 t2)
-        (resolved @ churn_resolved)
-    in
+    dup_scan scripted;
+    (* Replay membership and link state in run order, churn included. *)
     let member = Hashtbl.create 16 in (* (mc, switch) -> () *)
     let link_down = Hashtbl.create 16 in (* (u, v) with u < v *)
+    let link line u v ~up =
+      let key = (min u v, max u v) in
+      let down = Hashtbl.mem link_down key in
+      if up && not down then warn line "link (%d, %d) is already up" u v
+      else if (not up) && down then
+        warn line "link (%d, %d) is already down" u v;
+      if up then Hashtbl.remove link_down key
+      else Hashtbl.replace link_down key ()
+    in
     List.iter
-      (fun (line, _, act) ->
-        match act with
-        | Join { switch; mc } -> Hashtbl.replace member (mc, switch) ()
+      (fun (s : S.sourced) ->
+        match s.event.action with
+        | Join { switch; mc; _ } -> Hashtbl.replace member (mc.id, switch) ()
         | Leave { switch; mc } ->
-          if not (Hashtbl.mem member (mc, switch)) then
-            err line
+          if not (Hashtbl.mem member (mc.id, switch)) then
+            err s.from_line
               "leave without a preceding join (switch %d is not a member \
                of mc %d at this time)"
-              switch mc
-          else Hashtbl.remove member (mc, switch)
-        | Link { u; v; up } ->
-          let key = (min u v, max u v) in
-          let down = Hashtbl.mem link_down key in
-          if up && not down then
-            warn line "link (%d, %d) is already up" u v
-          else if (not up) && down then
-            warn line "link (%d, %d) is already down" u v;
-          if up then Hashtbl.remove link_down key
-          else Hashtbl.replace link_down key ())
+              switch mc.id
+          else Hashtbl.remove member (mc.id, switch)
+        | Link_down (u, v) -> link s.from_line u v ~up:false
+        | Link_up (u, v) -> link s.from_line u v ~up:true)
       timeline;
-    (* A health directive must resolve to a valid configuration against
-       this graph and regime — the same resolution Script.parse does. *)
-    match !health_decl with
-    | None -> ()
-    | Some (hline, d) ->
-      let last_event =
-        List.fold_left (fun acc (_, t, _) -> Float.max acc t) 0.0 timeline
-      in
-      let hc =
-        Workload.Script.health_config ~graph:g ~config:!config ~last_event d
-      in
-      (match Health.Config.validate hc with
-      | Ok () -> ()
-      | Error m -> err hline "%s" m);
-      if
-        not
-          (List.exists
-             (fun (_, _, act) ->
-               match act with Link _ -> true | _ -> false)
-             timeline)
-      then
-        warn hline
-          "health directive but no scripted link events: the detectors \
-           have nothing to discover");
+    match a.health_at with
+    | Some line
+      when not
+             (List.exists
+                (fun (s : S.sourced) ->
+                  match s.event.action with
+                  | Link_down _ | Link_up _ -> true
+                  | Join _ | Leave _ -> false)
+                timeline) ->
+      warn line
+        "health directive but no scripted link events: the detectors have \
+         nothing to discover"
+    | _ -> ());
+  (match a.faults_at with
+  | Some (line, spec) when Faults.Plan.spec_is_transparent spec ->
+    warn line
+      "fault plan injects nothing (all probabilities and delays are zero)"
+  | _ -> ());
   List.iter
-    (fun (line, id, _) ->
-      if not (List.mem id !used) then
-        warn line "mc %d declared but never used by any event" id)
-    !mcs;
+    (fun (line, (mc : Dgmc.Mc_id.t)) ->
+      if not (List.mem mc.id a.referenced) then
+        warn line "mc %d declared but never used by any event" mc.id)
+    a.declared;
+  (* The parser's findings lead on each line, then this pass's. *)
   List.stable_sort
-    (fun a b -> Int.compare a.line b.line)
-    (List.rev !diags)
+    (fun x y -> Int.compare x.line y.line)
+    (a.diagnostics @ List.rev !found)
 
 let lint_file path =
   match open_in path with

@@ -1,33 +1,36 @@
 (** Static analysis of [.dgmc] scenario scripts.
 
-    {!Workload.Script.parse} stops at the first malformed directive; the
-    linter instead analyses a whole file without running it, collects
-    {e every} problem, and adds semantic checks the parser cannot make
-    (it replays membership and link state over the event timeline):
+    The grammar has one implementation, {!Workload.Script.analyse}: it
+    reports every malformed line, unresolvable reference and invalid
+    [health] directive in a file, and the linter passes those
+    diagnostics on as they are — so [dgmc_lint]'s first error is exactly
+    what {!Workload.Script.parse} rejects a script with.  On top, the
+    linter replays the resolved event timeline (churn expansions
+    included) and adds the rules a run does not need:
 
-    {b Errors} (the scenario is wrong and {!Workload.Script} would
-    either reject it or simulate something unintended):
-    - unknown directives, events, options, or stray non-[key=value]
-      tokens;
-    - malformed integer, time, role, MC-type or graph arguments;
-    - a missing [graph] directive;
-    - an MC id used before (or without) its [mc] declaration, or
-      declared twice;
-    - a [join]/[leave] switch id outside the graph's node range;
-    - [linkdown]/[linkup] on a link the graph does not have;
+    {b Errors} (legal to run, but not what the author meant):
     - a [leave] with no preceding [join] for that switch and MC;
-    - two events identical in resolved time and action.
+    - two scripted events identical in resolved time and action.
 
     {b Warnings} (legal but suspicious):
     - event times that go backwards in file order;
     - [linkdown] on an already-down link / [linkup] on an already-up
       link at that point of the timeline;
     - an MC declared but never used by any event;
-    - duplicate [graph]/[config] directives (the later one wins). *)
+    - a [health] directive with no link events for the detectors to
+      discover;
+    - a fault plan that injects nothing.
 
-type severity = Error | Warning
+    The parser's own warnings are for a duplicate [graph], [faults] or
+    [health] directive (the later one wins). *)
 
-type diagnostic = { line : int; severity : severity; message : string }
+type severity = Workload.Script.severity = Error | Warning
+
+type diagnostic = Workload.Script.diagnostic = {
+  line : int;
+  severity : severity;
+  message : string;
+}
 (** [line] is 1-based; [0] means the file as a whole. *)
 
 val lint : string -> diagnostic list

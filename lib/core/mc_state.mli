@@ -48,10 +48,5 @@ val create : n:int -> t
 (** Fresh state for an n-switch network: zero timestamps, no members,
     empty topology. *)
 
-val cancel_computations : t -> unit
-(** Cancel every scheduled completion.  The protocol itself never needs
-    this — deletion waits for in-flight computations (see
-    [Switch.maybe_delete]) — but embedders tearing a switch down
-    mid-simulation do. *)
 
 val pp : Format.formatter -> t -> unit

@@ -183,7 +183,7 @@ val health_summary : t -> health_summary option
     unset. *)
 
 val health_views : t -> (int * (int * bool * bool) list) list
-(** Per switch, the hello agent's [(peer, believed_up, suppressed)]
+(** Per switch, the hello agent's [(peer, believed up, suppressed)]
     adjacency beliefs — empty when the health layer is off. *)
 
 (** {1 Agreement} *)

@@ -68,10 +68,6 @@ val origin : msg -> int
 
 val equal : msg -> msg -> bool
 
-val equal_export : mc_export -> mc_export -> bool
-
-val equal_summary : mc_summary -> mc_summary -> bool
-
 (** {1 Wire codec}
 
     Compact line-oriented text encoding; {!of_string} inverts

@@ -166,8 +166,6 @@ let instrument t ?trace ?metrics () =
 
 let seed t = t.plan_seed
 
-let default_spec t = t.spec
-
 let set_link_spec t u v spec =
   (match check_spec spec with
   | Ok _ -> ()
@@ -382,18 +380,3 @@ let partition_windows t =
       done;
       (!side, (w.w_from, w.w_until)))
     t.partitions
-
-let pp_spec ppf s = Format.pp_print_string ppf (spec_to_string s)
-
-let pp_event ppf { time; src; dst; fault } =
-  let kind =
-    match fault with
-    | Drop -> "drop"
-    | Duplicate -> "duplicate"
-    (* dgmc-analyze: allow float-format — human-readable event printer *)
-    | Reorder extra -> Printf.sprintf "reorder(+%g)" extra
-    | Crash_block who -> Printf.sprintf "blocked(crash %d)" who
-    | Partition_block -> "blocked(partition)"
-  in
-  (* dgmc-analyze: allow float-format — human-readable event printer *)
-  Format.fprintf ppf "@[<h>%.6g %d->%d %s@]" time src dst kind

@@ -73,8 +73,6 @@ val instrument :
     into [faults.*] metrics.  {!Protocol.create} calls this on the plan
     it is handed. *)
 
-val default_spec : t -> spec
-
 val set_link_spec : t -> int -> int -> spec -> unit
 (** Override the spec for one undirected link (both directions). *)
 
@@ -151,7 +149,3 @@ val trace : t -> event list
 (** Every injected fault in injection order (clean deliveries are not
     recorded).  Capped at 100_000 entries; {!counters} keeps exact
     totals regardless. *)
-
-val pp_event : Format.formatter -> event -> unit
-
-val pp_spec : Format.formatter -> spec -> unit

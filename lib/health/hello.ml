@@ -177,9 +177,6 @@ let on_hello t ~from =
       arm_check t nb
     end
 
-let believed_up t ~peer =
-  match find t peer with Some nb -> nb.up | None -> false
-
 let suppressed t ~peer =
   match find t peer with Some nb -> nb.suppress_flag | None -> false
 

@@ -47,12 +47,10 @@ val resume : t -> unit
     silence accumulated while down must not instantly fire them) and
     resume the hello schedule on its next tick. *)
 
-val believed_up : t -> peer:int -> bool
-
 val suppressed : t -> peer:int -> bool
 
 val view : t -> (int * bool * bool) list
-(** [(peer, believed_up, suppressed)] per adjacency, ascending peer. *)
+(** [(peer, believed up, suppressed)] per adjacency, ascending peer. *)
 
 val flaps : t -> int
 (** Total down declarations made by this agent. *)

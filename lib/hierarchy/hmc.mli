@@ -51,8 +51,6 @@ val create :
 
 val engine : t -> Sim.Engine.t
 
-val n_areas : t -> int
-
 val area_of : t -> int -> int
 
 val leader : t -> int -> int

@@ -39,10 +39,6 @@ val bucket_width : t -> float
 
 val capacity : t -> int
 
-val bucket_index : t -> float -> int
-(** The bucket a sample at the given time lands in:
-    [floor (time / bucket_width)]. *)
-
 val add : t -> ?switch:int -> name:string -> time:float -> float -> unit
 (** Record one sample at a simulated time.  No-op on {!disabled}. *)
 

@@ -28,9 +28,6 @@ type outcome = { findings : finding list }
 val failed : outcome -> bool
 (** Any [Fail] finding present. *)
 
-val compare_json : wall_tol:float -> Sim.Json.t -> Sim.Json.t -> outcome
-(** [compare_json ~wall_tol baseline candidate]. *)
-
 val compare_strings :
   wall_tol:float -> baseline:string -> candidate:string ->
   (outcome, string) result

@@ -43,9 +43,6 @@ type batch = {
   domains : int;  (** Worker count actually used. *)
 }
 
-val default_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — the hardware's suggestion. *)
-
 val run :
   ?domains:int -> ?metrics:Metrics.Registry.t -> (unit -> 'a) array -> 'a array
 (** [run ~domains tasks] evaluates every task and returns the results

@@ -38,8 +38,6 @@ let events_executed t = t.executed
 
 let set_probe t f = t.probe <- Some f
 
-let clear_probe t = t.probe <- None
-
 let step t =
   match Event_queue.pop t.queue with
   | None -> false

@@ -58,9 +58,6 @@ val set_probe : t -> (unit -> unit) -> unit
     observes — it must not schedule or cancel events, and a probe that
     raises aborts the run. *)
 
-val clear_probe : t -> unit
-(** Remove the installed probe, if any. *)
-
 val stop : t -> unit
 (** Request that [run] return after the action currently executing. *)
 

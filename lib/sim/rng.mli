@@ -44,9 +44,6 @@ val exponential : t -> mean:float -> float
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 
-val pick_array : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -48,50 +48,49 @@ type t = {
           the hello detectors must discover. *)
 }
 
+type severity = Error | Warning
+
+type diagnostic = { line : int; severity : severity; message : string }
+(** [line] is 1-based; [0] means the file as a whole. *)
+
+type sourced = { from_line : int; event : Events.t; churned : bool }
+(** A resolved event and the line that produced it; [churned] marks an
+    event a [churn] directive expanded into. *)
+
+type analysis = {
+  script : t option;  (** [Some] exactly when no diagnostic is an error. *)
+  diagnostics : diagnostic list;
+      (** Every problem on every line, sorted by line: malformed
+          directives, events, options and values; undeclared or
+          twice-declared MCs; switches out of range; links the graph does
+          not have; churn the graph cannot host; a [health] directive
+          that fails [Health.Config.validate]; a missing [graph].  The
+          only warnings are for a [graph], [faults] or [health] directive
+          that overrides an earlier one. *)
+  timeline : sourced list option;
+      (** The events that resolved, in run order; [None] when there is
+          no usable graph to resolve them against. *)
+  declared : (int * Dgmc.Mc_id.t) list;
+      (** Each declared MC with its line, in file order. *)
+  referenced : int list;  (** MC ids named by some event or [churn]. *)
+  faults_at : (int * Faults.Plan.spec) option;
+      (** The [faults] directive in effect and its line. *)
+  health_at : int option;  (** Line of the [health] directive in effect. *)
+}
+
+val analyse : string -> analysis
+(** Parse and resolve a script in one pass that collects diagnostics
+    instead of stopping at the first.  The linter ([Check.Scenario_lint])
+    adds its timeline rules on top of this. *)
+
 val parse : string -> (t, string) result
-(** Parse a script from its text.  The error carries the line number and
-    a description. *)
+(** {!analyse}, keeping only the script; the error is the
+    lowest-numbered error diagnostic, as ["line N: message"] (just the
+    message for a missing [graph]). *)
 
 val graph_of_args : line:int -> string list -> (Net.Graph.t, string) result
 (** Build the graph a [graph] directive's arguments denote (e.g.
-    [["ring"; "6"]]).  Shared with the scenario linter ([Check.
-    Scenario_lint]) so linting and running agree on the network. *)
-
-val faults_of_args :
-  line:int -> string list -> (Faults.Plan.spec * int, string) result
-(** Parse a [faults] directive's arguments (e.g. [["drop=0.3"; "seed=7"]])
-    into a fault spec and plan seed.  Shared with the linter. *)
-
-type churn_directive = {
-  churn_mc : Dgmc.Mc_id.t;
-  churn_members : int;
-  churn_moves : int;
-  churn_period : float * bool;  (** (value, round-denominated?). *)
-  churn_start : float * bool;
-  churn_waves : int;
-  churn_wave_links : int;
-  churn_wave_period : (float * bool) option;  (** [None]: one [period]. *)
-  churn_seed : int;
-}
-(** A [churn] directive as written — times unresolved, since the round
-    length needs the graph and regime. *)
-
-val churn_allowed_keys : string list
-(** The option keys a [churn] directive accepts. *)
-
-val churn_of_args :
-  line:int ->
-  mcs:Dgmc.Mc_id.t list ->
-  string list ->
-  (churn_directive, string) result
-(** Parse a [churn] directive's [key=value] arguments against the MCs
-    declared so far.  Shared with the linter. *)
-
-val churn_spec :
-  graph:Net.Graph.t -> config:Dgmc.Config.t -> churn_directive -> Churn.spec
-(** Resolve the directive's round-denominated times against the graph
-    and regime.  [Churn.generate] with [Sim.Rng.create churn_seed] then
-    yields exactly the events {!parse} appends. *)
+    [["ring"; "6"]]). *)
 
 type health_directive = {
   h_period : float * bool;  (** (value, round-denominated?). *)
@@ -109,14 +108,11 @@ type health_directive = {
 }
 (** A [health] directive as written — times unresolved. *)
 
-val health_allowed_keys : string list
-(** The option keys a [health] directive accepts. *)
-
 val health_of_args :
   line:int -> string list -> (health_directive, string) result
 (** Parse a [health] directive's [key=value] arguments (defaults:
-    [period=0.5r], [detector=k:3], no damping, no pacing).  Shared with
-    the linter and the CLI's [--health] flag. *)
+    [period=0.5r], [detector=k:3], no damping, no pacing); the CLI's
+    [--health] flag takes the same keys. *)
 
 val last_event_time : Events.t list -> float
 (** Time of the latest event, 0 when the list is empty — the anchor for
@@ -131,6 +127,11 @@ val health_config :
 (** Resolve round-denominated times against the graph and regime.  When
     no explicit horizon was given, it is placed past [last_event] by
     three detection bounds plus ten rounds of convergence slack. *)
+
+val with_health : t -> health_directive -> (t, string) result
+(** Resolve the directive against the script's graph, regime and events
+    ({!health_config}) and validate it — the step {!parse} applies to a
+    [health] directive. *)
 
 val load : string -> (t, string) result
 (** Read and parse a file. *)

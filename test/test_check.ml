@@ -608,6 +608,54 @@ let test_lint_health_directive () =
   Alcotest.(check bool) "…but warns that there is nothing to detect" true
     (Check.Scenario_lint.warnings no_links > 0)
 
+(* One grammar: for a script with a single defect in it, Script.parse
+   reports exactly the linter's first error. *)
+let test_lint_agrees_with_parser () =
+  let script bad = String.concat "\n" [ "graph ring 4"; "mc 1 symmetric"; bad ] in
+  List.iter
+    (fun bad ->
+      let text = script bad in
+      let first =
+        List.find
+          (fun (d : Check.Scenario_lint.diagnostic) ->
+            d.severity = Check.Scenario_lint.Error)
+          (Check.Scenario_lint.lint text)
+      in
+      match Workload.Script.parse text with
+      | Ok _ -> Alcotest.failf "%S: parsed, but the linter rejects it" bad
+      | Error m ->
+        Alcotest.(check string)
+          bad
+          (Printf.sprintf "line %d: %s" first.line first.message)
+          m)
+    [
+      (* the grammar defects of test_lint_catches_errors *)
+      "mc 1 symmetric";
+      "at 0 join 9 mc=1";
+      "at 1 join 0 mc=7";
+      "at 3 linkdown 0 2";
+      "at 4 join 1 role=captain mc=1";
+      "at -1 join 1 mc=1";
+      "at 5 join 1 banana mc=1";
+      (* lines the two tools once described differently *)
+      "at 0 linkdown 0";
+      "at";
+      "mc 2";
+      (* health directives that fail validation *)
+      "health damp-suppress=0.1 damp-reuse=0.5";
+      "health period=0";
+    ];
+  (* The timeline rules are the linter's alone: the runner needs neither,
+     so the parser accepts these scripts. *)
+  List.iter
+    (fun bad ->
+      let text = script bad in
+      Alcotest.(check bool) (bad ^ " parses") true
+        (Result.is_ok (Workload.Script.parse text));
+      Alcotest.(check bool) (bad ^ " lints with an error") true
+        (Check.Scenario_lint.errors (Check.Scenario_lint.lint text) > 0))
+    [ "at 2 leave 2 mc=1"; "at 0 join 0 mc=1\nat 0 join 0 mc=1" ]
+
 (* --- the abstract hello model, exhaustively explored --- *)
 
 (* K_missed 2 → detection proven by round 3; damping (when on) suppresses
@@ -855,6 +903,7 @@ let () =
           Alcotest.test_case "missing graph" `Quick test_lint_missing_graph;
           Alcotest.test_case "health directive" `Quick
             test_lint_health_directive;
+          Alcotest.test_case "parser agrees" `Quick test_lint_agrees_with_parser;
         ] );
       ( "hello-model",
         [

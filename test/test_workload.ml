@@ -400,6 +400,8 @@ let test_script_errors () =
   expect_error "graph ring 6\nat 0 join 1 mc=9" "not declared";
   expect_error "graph ring 6\nmc 1 symmetric\nat 0 join 99 mc=1" "out of range";
   expect_error "graph ring 6\nmc 1 symmetric\nat 0 linkdown 0 3" "no link";
+  expect_error "graph ring 6\nmc 1 symmetric\nat 0 linkdown 0 7" "no link";
+  expect_error "graph ring 2" "line 1: Topo_gen.ring: need at least 3 nodes";
   expect_error "graph ring 6\nmc 1 symmetric\nat -1 join 0 mc=1" "non-negative";
   expect_error "graph ring 6\nfrobnicate" "unknown directive";
   expect_error "graph ring 6\nmc 1 teapot" "unknown MC type";
@@ -412,12 +414,23 @@ let test_script_errors () =
   expect_error "graph ring 6\nmc 1 symmetric\nat 0 join 0 mc=1 banana"
     "unexpected";
   expect_error "graph ring 6\nmc 1 symmetric\nat 0 linkdown 0" "linkdown";
+  expect_error "graph ring 6\nmc 1 symmetric\nat 0 linkdown 0"
+    "expected two switch ids";
   expect_error "graph ring 6\nmc 1 symmetric\nat zero join 0 mc=1" "time";
   (* Every diagnostic carries the offending line number. *)
   expect_error "graph ring 6\nmc 1 symmetric\nat 0 join 99 mc=1" "line 3:";
   expect_error "graph ring 6\nfrobnicate" "line 2:";
   expect_error "graph ring 6\nmc 1 symmetric\nat 0 join 0 mc=1\nat 1 linkdown 0 3"
-    "line 4:"
+    "line 4:";
+  (* A health directive that resolves to an invalid configuration is a
+     parse error, not an exception when the protocol is built. *)
+  let with_health h =
+    String.concat "\n" [ "graph line 3"; "mc 1 symmetric"; "at 0 join 0 mc=1"; h ]
+  in
+  expect_error
+    (with_health "health damp-suppress=0.1 damp-reuse=0.5")
+    "line 4: health damping suppress threshold";
+  expect_error (with_health "health period=0") "line 4: health hello period"
 
 let test_script_health_directive () =
   let text =
